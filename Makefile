@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke perfbench-selftest check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -48,7 +48,10 @@ chaos-smoke:
 chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
 
-check: lint verify-sweep test bench-planner-smoke bench-runtime-smoke bench-service-smoke chaos-smoke chaos-resume-smoke
+perfbench-selftest:
+	python -m pytest perfbench/test_perfbench.py -q
+
+check: lint verify-sweep test bench-planner-smoke bench-runtime-smoke bench-service-smoke chaos-smoke chaos-resume-smoke perfbench-selftest
 
 eval:
 	python -m repro eval all

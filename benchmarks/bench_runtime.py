@@ -15,8 +15,8 @@ Times the hot execution path at three granularities and writes
   sequential folds — the seed behaviour), ``vectorized`` (packed slots,
   batched sharing, tree reductions; byte-identical to legacy —
   ``tests/test_runtime_equivalence.py`` asserts that), and ``sharded``
-  (the event-driven shard runtime over the multi-level aggregation tree;
-  its own RNG schedule, with serial/parallel byte-identity asserted by
+  (the sharded runtime over the multi-level aggregation tree;
+  its own RNG schedule, pinned by the golden test in
   ``tests/test_sharded_runtime.py``);
 * **sharded scale** — the sharded plane alone from 16k to 10^6 simulated
   devices (the flat planes stop being practical around 4096);
@@ -268,7 +268,6 @@ def _run_query(
     data_plane: str,
     shard_size: int = E2E_SHARD_SIZE,
     tree_fanout: int = E2E_TREE_FANOUT,
-    shard_workers: int = 0,
 ):
     env = QueryEnvironment(
         num_participants=devices,
@@ -290,7 +289,6 @@ def _run_query(
         data_plane=data_plane,
         shard_size=shard_size,
         tree_fanout=tree_fanout,
-        shard_workers=shard_workers,
     )
     started = time.perf_counter()
     result = executor.run()
@@ -379,7 +377,6 @@ def bench_sharded_scale(device_counts):
                 "shard_size": stats.shard_size,
                 "shards": stats.shards,
                 "tree_depth": stats.tree_depth,
-                "scheduler_events": stats.scheduler_events,
             }
         )
         print(
@@ -446,7 +443,6 @@ SCALE_ROW_KEYS = frozenset(
         "shard_size",
         "shards",
         "tree_depth",
-        "scheduler_events",
     }
 )
 SWEEP_ROW_KEYS = frozenset(

@@ -129,7 +129,6 @@ def cmd_plan(args) -> int:
         env,
         constraints=_constraints(args),
         goal=Goal(args.goal),
-        workers=args.workers,
     )
     try:
         result = planner.plan_source(source, name=args.query_file)
@@ -169,10 +168,7 @@ def cmd_plan(args) -> int:
             f"expansion cache: {stats.expansion_cache_hits} hits / "
             f"{stats.expansion_cache_misses} misses"
         )
-        print(
-            f"  ordering: {stats.nodes_reordered} nodes reordered; "
-            f"workers: {stats.workers}"
-        )
+        print(f"  ordering: {stats.nodes_reordered} nodes reordered")
     return 0
 
 
@@ -199,10 +195,11 @@ def _executor_from_manifest(manifest: dict, journal=None):
         manifest["source"], name=manifest["query_name"]
     )
     # Sharded-plane knobs: manifest.get so journals written before the
-    # sharded plane existed still rebuild (they ran a flat plane).
+    # sharded plane existed still rebuild (they ran a flat plane). A
+    # ``shard_workers`` key written by earlier versions is ignored; it
+    # never changed the released bytes.
     shard_kwargs = {
         "shard_size": manifest.get("shard_size", 1024),
-        "shard_workers": manifest.get("shard_workers", 0),
         "tree_fanout": manifest.get("tree_fanout", 16),
     }
     if manifest["recipe"] == "chaos":
@@ -258,7 +255,6 @@ def cmd_run(args) -> int:
         "seed": args.seed,
         "data_plane": args.data_plane,
         "shard_size": args.shard_size,
-        "shard_workers": args.shard_workers,
         "tree_fanout": args.tree_fanout,
     }
     journal = (
@@ -482,7 +478,6 @@ def _chaos_manifest(args, plan) -> dict:
         "scenario": plan.as_dict(),
         "data_plane": args.data_plane,
         "shard_size": args.shard_size,
-        "shard_workers": args.shard_workers,
         "tree_fanout": args.tree_fanout,
     }
 
@@ -1028,10 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a per-vignette cost table for the chosen plan",
     )
     plan.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the branch-and-bound root split",
-    )
-    plan.add_argument(
         "--stats", action="store_true",
         help="print search-effort, cache, and ordering counters",
     )
@@ -1052,17 +1043,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="vectorized",
         help="execution data plane: packed/batched kernels, the seed "
         "one-ciphertext-per-slot path (byte-identical to vectorized), or "
-        "the sharded event-driven runtime (own RNG schedule; serial and "
-        "parallel sharded runs are byte-identical to each other)",
+        "the sharded runtime (own per-shard RNG schedule)",
     )
     run.add_argument(
         "--shard-size", type=int, default=1024,
         help="devices per shard on the sharded plane",
-    )
-    run.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="worker threads for parallel-safe shard events "
-        "(0/1 = the serial oracle; any count is byte-identical)",
     )
     run.add_argument(
         "--tree-fanout", type=int, default=16,
@@ -1173,10 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-size", type=int, default=8,
         help="devices per shard (small default so the smoke deployment "
         "spans several shards and tree levels)",
-    )
-    chaos.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="worker threads for parallel-safe shard events",
     )
     chaos.add_argument(
         "--tree-fanout", type=int, default=2,

@@ -225,7 +225,6 @@ def planning_result_to_dict(result: PlanningResult) -> Dict[str, Any]:
             "expansion_cache_hits": stats.expansion_cache_hits,
             "expansion_cache_misses": stats.expansion_cache_misses,
             "nodes_reordered": stats.nodes_reordered,
-            "workers": stats.workers,
         },
     }
     if result.plan is not None:

@@ -299,10 +299,9 @@ class AggregatorTree:
 
     Folding is driven by readiness: :meth:`ingest_leaf` and
     :meth:`fold_node` each return the coordinates of any parent whose
-    children just completed, which is exactly the ``fold`` event the
-    scheduler then drains. Child order is fixed by construction, so the
-    fold result is byte-identical whatever order the leaves arrive in —
-    the serial/parallel equivalence the sharded plane is built on.
+    children just completed, which the intake loop queues for its
+    ``fold`` stage. Child order is fixed by construction, so the fold
+    result is byte-identical whatever order the leaves arrive in.
     """
 
     def __init__(
@@ -370,8 +369,8 @@ class AggregatorTree:
         """Ingest one shard batch (a ``ShardIntakeResult``) at its leaf.
 
         Returns the (level, index) of the parent node if this leaf was
-        the last child it was waiting for — the scheduler turns that into
-        a ``fold`` event — else ``None``.
+        the last child it was waiting for — the intake loop queues it
+        for folding — else ``None``.
         """
         leaf = self.levels[0][result.shard_id]
         if leaf.folded:

@@ -175,10 +175,6 @@ class RuntimeStatistics:
     shards: int = 0
     shard_size: int = 0
     tree_depth: int = 0
-    scheduler_workers: int = 0
-    scheduler_events: int = 0
-    scheduler_batches: int = 0
-    scheduler_max_batch: int = 0
     #: Durable-journal counters (``repro run --journal`` / ``repro resume``).
     checkpoints: int = 0
     journal_records: int = 0
@@ -249,7 +245,6 @@ class QueryExecutor:
         data_plane: str = "vectorized",
         journal: Optional[ExecutionJournal] = None,
         shard_size: int = 1024,
-        shard_workers: int = 0,
         tree_fanout: int = 16,
         charge_label: Optional[str] = None,
     ):
@@ -293,14 +288,12 @@ class QueryExecutor:
         self._laplace_seq = 0
         self.data_plane = data_plane
         self.shard_size = shard_size
-        self.shard_workers = max(0, int(shard_workers))
         self.tree_fanout = tree_fanout
         #: Master seed of the sharded plane's labelled substreams. Drawn
         #: once at construction (sharded mode only, so flat planes keep
         #: their exact draw schedules) from the executor's seeded rng —
-        #: deterministic across resume incarnations, and independent of
-        #: worker count because per-shard streams derive from it by label,
-        #: never from shared stream position.
+        #: deterministic across resume incarnations; per-shard streams
+        #: derive from it by label, never from shared stream position.
         self._shard_seed: Optional[int] = (
             self.rng.getrandbits(64) if data_plane == "sharded" else None
         )
@@ -373,13 +366,11 @@ class QueryExecutor:
         Unlike :meth:`_fresh`, the fault-free path does *not* fall back to
         the executor's shared rng: every shard's stream is derived from
         the plane's master seed by label, so the draw schedule is a pure
-        function of (seed, label) — identical whether shards execute
-        serially or on a worker pool, which is the root of the sharded
-        plane's serial-oracle equivalence. Chaos runs derive from the
-        injector instead, keeping recovery replays bit-identical. Streams
-        are always derived on the scheduler's serial path (event post /
-        serial handlers), never inside a worker, so the label attestation
-        order is deterministic too.
+        function of (seed, label), independent of how many draws other
+        shards made. Chaos runs derive from the injector instead, keeping
+        recovery replays bit-identical. Streams are derived in shard order
+        by the intake loop's churn stage, so the label attestation order
+        is deterministic too.
         """
         self._rng_labels.append(label)
         if self.faults is not None:
@@ -926,39 +917,27 @@ class QueryExecutor:
     def _phase_input_sharded(
         self, public_key: paillier.PaillierPublicKey, bins: int
     ):
-        """The sharded, event-driven input phase (tentpole of the plane).
+        """The sharded input phase.
 
         The population is gathered once (struct-of-arrays), sliced into
         :class:`~repro.runtime.shard.DeviceShard` batches, and the intake
-        runs as a ``churn -> upload -> verify -> aggregate -> fold`` event
-        pipeline over an :class:`~repro.runtime.aggregator.AggregatorTree`:
-
-        * ``churn`` (serial) re-syncs a shard's liveness/malice snapshot
-          with the network and derives the shard's labelled RNG stream —
-          all shared-state reads and stream derivations happen here, on
-          the scheduler's serial path.
-        * ``upload``/``verify`` (parallel-safe) are pure per-shard stages
-          from :mod:`~repro.runtime.shard`.
-        * ``aggregate`` (serial) ingests a verified batch into its tree
-          leaf and journals the shard-scoped checkpoint
-          (``input/shard{i}``) — so a coordinator crash resumes at shard
-          granularity, not phase granularity.
-        * ``fold`` (serial) combines an internal tree node the moment its
-          last child lands.
-
-        With ``shard_workers <= 1`` this is the serial oracle; any worker
-        count produces byte-identical results (see scheduler contract).
+        runs as a ``churn -> upload -> verify -> aggregate -> fold`` stage
+        loop over an :class:`~repro.runtime.aggregator.AggregatorTree`
+        (see :mod:`~repro.runtime.scheduler` for the order). Each ingested
+        leaf journals a shard-scoped checkpoint (``input/shard{i}``), so a
+        coordinator crash resumes at shard granularity, not phase
+        granularity.
         """
-        from . import scheduler as event_scheduler
         from .aggregator import AggregatorTree
-        from .shard import ObfuscatorPool, ShardContext, build_shards, upload_shard, verify_shard
+        from .scheduler import run_intake
+        from .shard import ObfuscatorPool, ShardContext, build_shards
 
         categories, one_hot, width, statement = self._input_statement(bins)
         round_number = self.network.sortition.round_number
         garbage = self._apply_garbage_faults()
         # One obfuscator pad pool per run: real obfuscators from a labelled
-        # stream, shared read-only by every shard worker (see shard.py for
-        # the subset-product construction and DESIGN.md for the trade).
+        # stream, shared read-only by every shard (see shard.py for the
+        # subset-product construction and DESIGN.md for the trade).
         pool = ObfuscatorPool(public_key, self._shard_stream("sharded/pads"))
         ctx = ShardContext(
             public_key=public_key,
@@ -976,12 +955,10 @@ class QueryExecutor:
         tree = AggregatorTree(
             public_key, num_leaves=len(shards), fanout=self.tree_fanout
         )
-        scheduler = event_scheduler.EventScheduler(workers=self.shard_workers)
         devices = self.network.devices
         submit_seconds = 0.0
 
-        def on_churn(event):
-            shard = event.payload
+        def churn(shard):
             # Re-snapshot liveness/malice against the authoritative device
             # list (direct indexing per the contiguous-id invariant):
             # population faults applied at the phase boundary are visible
@@ -990,48 +967,15 @@ class QueryExecutor:
                 device = devices[int(device_id) - 1]
                 shard.online[pos] = device.online
                 shard.malicious[pos] = device.malicious
-            stream = self._shard_stream(shard.stream_label)
-            return None, [
-                (event_scheduler.UPLOAD, shard.shard_id, (shard, stream))
-            ]
+            return self._shard_stream(shard.stream_label)
 
-        def on_upload(event):
-            shard, stream = event.payload
-            batch = upload_shard(shard, ctx, stream)
-            return batch, [(event_scheduler.VERIFY, shard.shard_id, batch)]
-
-        def on_verify(event):
-            result = verify_shard(event.payload, ctx)
-            return result, [
-                (event_scheduler.AGGREGATE, result.shard_id, result)
-            ]
-
-        def on_aggregate(event):
+        def on_leaf(result):
             nonlocal submit_seconds
-            result = event.payload
-            ready = tree.ingest_leaf(result)
             submit_seconds += result.submit_seconds
             self.statistics.uploads_submitted += result.uploads_received
             self._checkpoint(f"input/shard{result.shard_id}")
-            return None, (
-                [(event_scheduler.FOLD, ready[1], ready)] if ready else []
-            )
 
-        def on_fold(event):
-            level, index = event.payload
-            ready = tree.fold_node(level, index)
-            return None, (
-                [(event_scheduler.FOLD, ready[1], ready)] if ready else []
-            )
-
-        scheduler.register(event_scheduler.CHURN, on_churn)
-        scheduler.register(event_scheduler.UPLOAD, on_upload, parallel=True)
-        scheduler.register(event_scheduler.VERIFY, on_verify, parallel=True)
-        scheduler.register(event_scheduler.AGGREGATE, on_aggregate)
-        scheduler.register(event_scheduler.FOLD, on_fold)
-        for shard in shards:
-            scheduler.post(event_scheduler.CHURN, shard.shard_id, shard)
-        scheduler.drain()
+        run_intake(shards, ctx, tree, churn, on_leaf)
 
         self._resolve_garbage_faults(garbage, tree)
         if not tree.root.accepted:
@@ -1059,12 +1003,6 @@ class QueryExecutor:
         self.statistics.shards = len(shards)
         self.statistics.shard_size = self.shard_size
         self.statistics.tree_depth = tree.depth
-        self.statistics.scheduler_workers = scheduler.stats.workers
-        self.statistics.scheduler_events = sum(
-            scheduler.stats.events_processed.values()
-        )
-        self.statistics.scheduler_batches = scheduler.stats.batches_dispatched
-        self.statistics.scheduler_max_batch = scheduler.stats.max_batch
         self._checkpoint("input/aggregated")
         return tree, totals, audits_failed
 

@@ -3,8 +3,8 @@
 A :class:`DeviceShard` holds one contiguous slice of the population as
 numpy arrays (ids, raw values, liveness, malice) plus the label of the
 RNG substream every value-relevant draw for that shard comes from. The
-shard is the unit of everything in the sharded runtime: the event
-scheduler schedules per-shard work, journal checkpoints are per-shard,
+shard is the unit of everything in the sharded runtime: the intake loop
+runs its stages per shard, journal checkpoints are per-shard,
 fault-plan replay re-derives per-shard streams, and aggregation-tree
 leaves ingest per-shard batches.
 
@@ -31,8 +31,7 @@ remove them:
 
 Every stage function here is **pure per shard** — it reads its
 arguments, draws only from the shard's own stream, and returns a value —
-which is what lets the scheduler run shards on a worker pool and still
-merge results byte-identically to the serial oracle.
+so one shard's results never depend on another's.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .packing import SlotPacking
 class DeviceShard:
     """One contiguous slice of the population, struct-of-arrays.
 
-    ``online``/``malicious`` are snapshots taken by the ``churn`` event
+    ``online``/``malicious`` are snapshots taken by the ``churn`` stage
     immediately before the shard uploads, so population faults applied at
     phase boundaries are visible to the shard without per-device lookups.
     """
@@ -83,7 +82,7 @@ class ObfuscatorPool:
     the product of ``subset_size`` pads sampled with replacement — a
     random n-th residue obtained with ``subset_size`` modular
     multiplications instead of one modular exponentiation. The pool is
-    immutable after construction and safe to share across shard workers.
+    immutable after construction and shared by every shard of a run.
     """
 
     def __init__(
@@ -124,8 +123,8 @@ class ObfuscatorPool:
 class ShardContext:
     """Everything a shard stage needs beyond the shard itself.
 
-    Immutable and shared (read-only) across all shard workers; the only
-    mutable inputs to a stage are the shard and its own RNG stream.
+    Immutable and shared (read-only) by every shard; the only mutable
+    inputs to a stage are the shard and its own RNG stream.
     """
 
     public_key: paillier.PaillierPublicKey
@@ -136,7 +135,7 @@ class ShardContext:
     width: int
     round_number: int
     packing: Optional[SlotPacking]
-    pool: Optional[ObfuscatorPool]
+    pool: ObfuscatorPool
 
 
 @dataclass
@@ -240,12 +239,10 @@ def upload_shard(
     for pos, device_id in enumerate(online_ids):
         vector = vectors[pos]
         plaintexts = packing.pack(vector) if packing is not None else vector
-        cts = []
-        for value in plaintexts:
-            if pool is not None:
-                cts.append(paillier.encrypt_with_pad(pk, value, pool.draw(rng)))
-            else:
-                cts.append(paillier.encrypt(pk, value, rng))
+        cts = [
+            paillier.encrypt_with_pad(pk, value, pool.draw(rng))
+            for value in plaintexts
+        ]
         digest = ciphertext_vector_digest(cts)
         proof = prove(ctx.statement, vector, int(device_id), ctx.round_number, digest)
         uploads.append(Upload(int(device_id), cts, proof, vector))

@@ -1,28 +1,31 @@
-"""Sharded event-driven runtime: scheduler, shards, tree, and equivalence.
+"""Sharded runtime: shard stages, aggregation tree, and byte stability.
 
 The sharded data plane's contract differs from the vectorized one's: it
 owns its RNG schedule (per-shard labelled streams), so its released
-values are not compared against the flat planes. Its oracle is *itself*:
-``shard_workers=0`` drains the event pipeline one event at a time, and
-every other worker count must release a byte-identical ``QueryResult``.
-On top of that sit the multi-level aggregation tree's audit guarantees
-(any internal level reproduces the shard-leaf inclusion proofs) and the
-shard-scoped journal checkpoints (a coordinator death mid-intake resumes
-bit-identically).
+values are not compared against the flat planes. Its oracle is a golden
+deployment whose outputs, rejected set and journal tail digest are
+pinned, so any change to the intake's stage order or draw schedule
+shows. On top of that sit the multi-level aggregation tree's audit
+guarantees (any internal level reproduces the shard-leaf inclusion
+proofs) and the shard-scoped journal checkpoints (a coordinator death
+mid-intake resumes bit-identically).
 """
 
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import _CHAOS_QUERY, _executor_from_manifest
 from repro.crypto import paillier
 from repro.crypto.zkp import one_hot_statement
 from repro.faults import (
     COORDINATOR_CRASH,
+    CoordinatorCrash,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -31,16 +34,8 @@ from repro.faults import (
 from repro.planner.search import plan_query
 from repro.runtime.aggregator import AggregatorNode, AggregatorTree, Upload
 from repro.runtime.executor import QueryExecutor
-from repro.runtime.journal import run_to_completion
+from repro.runtime.journal import ExecutionJournal, run_to_completion
 from repro.runtime.network import FederatedNetwork
-from repro.runtime.scheduler import (
-    AGGREGATE,
-    CHURN,
-    EventScheduler,
-    FOLD,
-    UPLOAD,
-    VERIFY,
-)
 from repro.runtime.shard import (
     DeviceShard,
     ObfuscatorPool,
@@ -63,7 +58,6 @@ def _run(
     malicious_fraction=0.0,
     scenario=None,
     shard_size=8,
-    shard_workers=0,
     tree_fanout=2,
     journal=None,
 ):
@@ -86,76 +80,10 @@ def _run(
         faults=faults,
         data_plane=data_plane,
         shard_size=shard_size,
-        shard_workers=shard_workers,
         tree_fanout=tree_fanout,
         journal=journal,
     )
     return executor.run()
-
-
-# ------------------------------------------------------------- scheduler
-
-
-class TestEventScheduler:
-    def _pipeline(self, workers, items=10):
-        """A churn->upload->verify->aggregate pipeline over plain ints."""
-        sched = EventScheduler(workers=workers)
-        trace = []
-
-        sched.register(
-            CHURN,
-            lambda ev: (None, [(UPLOAD, ev.shard_id, ev.shard_id * 10)]),
-        )
-        sched.register(
-            UPLOAD, lambda ev: (ev.payload + 1, [(VERIFY, ev.shard_id, ev.payload + 1)]),
-            parallel=True,
-        )
-        sched.register(
-            VERIFY, lambda ev: (ev.payload, [(AGGREGATE, ev.shard_id, ev.payload)]),
-            parallel=True,
-        )
-        sched.register(
-            AGGREGATE,
-            lambda ev: (trace.append((ev.shard_id, ev.payload)), []),
-        )
-        for i in range(items):
-            sched.post(CHURN, i)
-        handled = sched.drain()
-        return trace, handled, sched.stats
-
-    def test_serial_and_parallel_traces_identical(self):
-        serial, handled_s, _ = self._pipeline(workers=0)
-        parallel, handled_p, stats = self._pipeline(workers=4)
-        assert serial == parallel
-        assert handled_s == handled_p == 40
-        assert serial == [(i, i * 10 + 1) for i in range(10)]
-        assert stats.max_batch > 1  # parallel dispatch actually batched
-
-    def test_serial_kinds_never_batch(self):
-        _, _, stats = self._pipeline(workers=4)
-        # aggregate is serial: 10 events -> 10 single-event batches.
-        assert stats.events_processed[AGGREGATE] == 10
-
-    def test_unregistered_kind_rejected(self):
-        sched = EventScheduler()
-        with pytest.raises(ValueError, match="no handler"):
-            sched.post(FOLD, 0)
-        with pytest.raises(ValueError, match="unknown event kind"):
-            sched.register("teleport", lambda ev: (None, []))
-
-    def test_followups_run_after_batch_in_seq_order(self):
-        sched = EventScheduler(workers=4)
-        order = []
-        sched.register(
-            UPLOAD, lambda ev: (order.append(("u", ev.shard_id)), [(VERIFY, ev.shard_id, None)]),
-            parallel=True,
-        )
-        sched.register(VERIFY, lambda ev: (order.append(("v", ev.shard_id)), []))
-        for i in range(6):
-            sched.post(UPLOAD, i)
-        sched.drain()
-        # All verifies post after the upload batch merges, in seq order.
-        assert order[6:] == [("v", i) for i in range(6)]
 
 
 # ------------------------------------------------------- shards and pool
@@ -404,29 +332,45 @@ class TestNetworkSoA:
 # --------------------------------------------------- end-to-end oracle
 
 
+#: The golden deployment's released values (64 devices, a quarter
+#: malicious, 8 shards under a fanout-2 tree of depth 4, journaled).
+#: Re-derive them only for a change that alters the sharded byte stream
+#: on purpose, and record why in CHANGES.md.
+GOLDEN_OUTPUTS = [6]
+GOLDEN_REJECTED = [6, 14, 23, 27, 32, 33, 36, 40, 44, 45, 48, 49, 52, 54, 57]
+GOLDEN_TAIL_DIGEST = (
+    "7e5176a595830f88a91299b0e61ae34acef7158da2000585ecdc50cac4ddc56f"
+)
+
+
 class TestShardedEquivalence:
     @pytest.fixture(scope="class")
-    def serial(self):
-        return _run(shard_workers=0, malicious_fraction=0.1)
+    def golden(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "golden.journal"
+        journal = ExecutionJournal.create(str(path), {"recipe": "golden"})
+        started = time.perf_counter()
+        result = _run(seed=21, malicious_fraction=0.25, journal=journal)
+        return result, journal, time.perf_counter() - started
 
-    def test_parallel_workers_byte_identical_to_serial(self, serial):
-        for workers in (2, 5):
-            assert _run(shard_workers=workers, malicious_fraction=0.1) == serial
+    def test_outputs_rejections_and_journal_are_byte_stable(self, golden):
+        result, journal, _wall = golden
+        assert result.statistics.tree_depth >= 3
+        assert result.outputs == GOLDEN_OUTPUTS
+        assert result.rejected_devices == GOLDEN_REJECTED
+        assert journal.tail_digest() == GOLDEN_TAIL_DIGEST
 
-    def test_sharded_stats_populated(self, serial):
-        stats = serial.statistics
+    def test_sharded_stats_populated(self, golden):
+        result, journal, wall = golden
+        stats = result.statistics
         assert stats.data_plane == "sharded"
         assert stats.shards == 8
         assert stats.tree_depth == 4  # 8 leaves at fanout 2
-        assert stats.scheduler_events == 8 * 4 + 7  # 4 stages + 7 folds
+        labels = [p["label"] for p in journal.checkpoint_payloads()]
+        shard_labels = [label for label in labels if label.startswith("input/shard")]
+        assert shard_labels == [f"input/shard{i}" for i in range(8)]
         assert stats.uploads_submitted == 64
+        assert 0 < stats.submit_seconds <= wall
         assert stats.packing_lanes > 1  # slot packing engaged
-
-    def test_malicious_rejection_independent_of_workers(self):
-        serial = _run(seed=21, malicious_fraction=0.25, shard_workers=0)
-        parallel = _run(seed=21, malicious_fraction=0.25, shard_workers=3)
-        assert serial.rejected_devices
-        assert serial == parallel
 
     def test_shard_topology_changes_do_not_change_rejections(self):
         # Different shard sizes reshape the tree, but accept/reject is a
@@ -434,13 +378,6 @@ class TestShardedEquivalence:
         a = _run(seed=21, malicious_fraction=0.25, shard_size=8)
         b = _run(seed=21, malicious_fraction=0.25, shard_size=32, tree_fanout=4)
         assert a.rejected_devices == b.rejected_devices
-
-    @pytest.mark.parametrize("scenario", ["keygen-loss", "churn-wave", "vsr-loss"])
-    def test_chaos_scenarios_bit_identical_under_parallelism(self, scenario):
-        serial = _run(scenario=scenario, shard_workers=0)
-        parallel = _run(scenario=scenario, shard_workers=4)
-        assert serial.outputs == parallel.outputs
-        assert serial.rejected_devices == parallel.rejected_devices
 
 
 class TestShardedCrashResume:
@@ -459,6 +396,45 @@ class TestShardedCrashResume:
         assert resumes == 1
         assert result == baseline
 
+    def test_journal_with_shard_workers_key_resumes(self, tmp_path):
+        # Earlier versions wrote the intake's worker count into the
+        # manifest; rebuilding from such a journal ignores the key.
+        manifest = {
+            "recipe": "chaos",
+            "query_name": "chaos",
+            "source": _CHAOS_QUERY,
+            "devices": 32,
+            "categories": 8,
+            "epsilon": 8.0,
+            "sensitivity": 1.0,
+            "committee_size": 4,
+            "key_prime_bits": 96,
+            "seed": SEED,
+            "fault_seed": SEED,
+            "scenario": get_scenario("none").as_dict(),
+            "data_plane": "sharded",
+            "shard_size": 8,
+            "shard_workers": 4,
+            "tree_fanout": 2,
+        }
+        baseline = _executor_from_manifest(manifest).run()
+        crash = FaultPlan(
+            "crash-at-shard",
+            "coordinator dies mid-intake, at the second shard checkpoint",
+            events=(FaultEvent(COORDINATOR_CRASH, "input", target="input/shard1"),),
+        )
+        manifest["scenario"] = crash.as_dict()
+        path = str(tmp_path / "old.journal")
+        with pytest.raises(CoordinatorCrash):
+            _executor_from_manifest(
+                manifest, ExecutionJournal.create(path, manifest)
+            ).run()
+        journal = ExecutionJournal.load(path)
+        assert journal.manifest["shard_workers"] == 4
+        result = _executor_from_manifest(journal.manifest, journal).run()
+        assert result.statistics.resume_events == 1
+        assert result == baseline
+
 
 def _run_builder(plan, journal):
     """An executor factory for run_to_completion (mirrors _run's recipe)."""
@@ -475,7 +451,6 @@ def _run_builder(plan, journal):
         faults=FaultInjector(plan, seed=SEED),
         data_plane="sharded",
         shard_size=8,
-        shard_workers=0,
         tree_fanout=2,
         journal=journal,
     )
